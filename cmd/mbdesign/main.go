@@ -16,8 +16,8 @@ import (
 	"fmt"
 	"os"
 
-	"multibus/internal/cliutil"
 	"multibus/internal/design"
+	"multibus/internal/scenario"
 )
 
 func main() {
@@ -39,7 +39,7 @@ func main() {
 }
 
 func run(n int, r float64, wl string, minBW float64, minDegree, maxConn, maxLoad int, frontierOnly bool) error {
-	model, err := cliutil.BuildModel(wl, n)
+	model, err := scenario.Model{Kind: wl}.Build(n)
 	if err != nil {
 		return err
 	}

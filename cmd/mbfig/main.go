@@ -16,7 +16,7 @@ import (
 	"fmt"
 	"os"
 
-	"multibus/internal/cliutil"
+	"multibus/internal/scenario"
 	"multibus/internal/topology"
 )
 
@@ -75,7 +75,7 @@ func run(figNum int, scheme, wiring string, n, m, b, g, k int, matrix bool) erro
 func buildFigure(figNum int, scheme string, n, m, b, g, k int) (*topology.Network, error) {
 	switch figNum {
 	case 0:
-		return cliutil.BuildNetwork(scheme, n, m, b, g, k)
+		return scenario.Network{Scheme: scheme, N: n, M: m, B: b, Groups: g, Classes: k}.Build()
 	case 1:
 		// Fig. 1: an N×M×B multiple bus network (full connection).
 		return topology.Full(4, 4, 2)

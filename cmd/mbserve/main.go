@@ -39,12 +39,11 @@
 // confirms, and evicts peers that stop answering /healthz, joiners
 // announce themselves into the ring, and every ring transition warms
 // the new owners via cache handoff (bounded by -handoff-max). Any
-// instance partitions the sweep grids it serves across the ring;
-// -coordinator is accepted for compatibility. GET /readyz answers 503
-// until the initial membership snapshot and handoff pull are done —
-// point load-balancer readiness there, liveness at /healthz. A
-// single-instance deployment omits the cluster flags and pays no
-// cluster overhead.
+// instance partitions the sweep grids it serves across the ring. GET
+// /readyz answers 503 until the initial membership snapshot and handoff
+// pull are done — point load-balancer readiness there, liveness at
+// /healthz. A single-instance deployment omits the cluster flags and
+// pays no cluster overhead.
 // The hidden -chaos flag injects seeded faults (latency, errors,
 // panics) into every computation for resilience testing — e.g.
 // -chaos "latency=2s,latencyRate=1,seed=7" — and must never be set in
@@ -88,7 +87,6 @@ func main() {
 		peers         = flag.String("peers", "", "comma-separated base URLs seeding the cluster membership (empty = single instance)")
 		self          = flag.String("self", "", "this instance's own base URL (required with -peers or -join)")
 		join          = flag.String("join", "", "base URL of a running cluster member to join through (alternative to -peers)")
-		coord         = flag.Bool("coordinator", false, "accepted for compatibility; every instance now partitions the sweeps it serves")
 		probeInterval = flag.Duration("probe-interval", 0, "membership health-probe period, jittered ±25% (0 = default 1s)")
 		handoffMax    = flag.Int("handoff-max", 0, "max cache entries per warm handoff transfer (0 = default, negative = disabled)")
 		logFlags      = cliutil.RegisterLogFlags(flag.CommandLine)
@@ -104,7 +102,6 @@ func main() {
 				peers:         *peers,
 				self:          *self,
 				join:          *join,
-				coordinator:   *coord,
 				probeInterval: *probeInterval,
 			})
 		}
@@ -160,7 +157,6 @@ type clusterFlags struct {
 	peers         string
 	self          string
 	join          string
-	coordinator   bool
 	probeInterval time.Duration
 }
 
@@ -174,8 +170,8 @@ type clusterFlags struct {
 // has built it.
 func buildCluster(logger *slog.Logger, cf clusterFlags) (*cluster.Backend, error) {
 	if cf.peers == "" && cf.join == "" {
-		if cf.self != "" || cf.coordinator {
-			return nil, errors.New("-self and -coordinator need -peers or -join")
+		if cf.self != "" {
+			return nil, errors.New("-self needs -peers or -join")
 		}
 		return nil, nil
 	}

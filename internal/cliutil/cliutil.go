@@ -19,10 +19,7 @@ import (
 	"strconv"
 	"strings"
 
-	"multibus/internal/hrm"
 	"multibus/internal/scenario"
-	"multibus/internal/topology"
-	"multibus/internal/workload"
 )
 
 // ErrBadFlag is returned for unparseable tool arguments (list syntax
@@ -232,28 +229,4 @@ func ParseInts(list string) ([]int, error) {
 		out[i] = v
 	}
 	return out, nil
-}
-
-// BuildNetwork constructs a topology from a scheme name.
-//
-// Deprecated: assemble a scenario.Network (directly or via
-// RegisterScenarioFlags) and call its Build method; this delegate
-// exists for tools that predate the scenario layer.
-func BuildNetwork(scheme string, n, m, b, g, k int) (*topology.Network, error) {
-	return scenario.Network{Scheme: scheme, N: n, M: m, B: b, Groups: g, Classes: k}.Build()
-}
-
-// BuildModel constructs a request model from a workload name over n
-// modules.
-//
-// Deprecated: use scenario.Model.Build.
-func BuildModel(name string, n int) (*hrm.Hierarchy, error) {
-	return scenario.Model{Kind: name}.Build(n)
-}
-
-// BuildWorkload constructs a simulator workload from a workload name.
-//
-// Deprecated: use scenario.Model.BuildWorkload.
-func BuildWorkload(name string, n, m int, r float64) (workload.Generator, error) {
-	return scenario.Model{Kind: name}.BuildWorkload(n, m, r)
 }

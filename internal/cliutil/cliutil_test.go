@@ -13,6 +13,22 @@ import (
 	"multibus/internal/topology"
 )
 
+// buildFromFlags parses args through the shared scenario flags and
+// builds the scenario they describe — the path every cmd/ tool takes.
+func buildFromFlags(t *testing.T, args ...string) (*scenario.Built, error) {
+	t.Helper()
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	f := RegisterScenarioFlags(fs, Defaults{})
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	s, _, err := f.Scenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s.Build()
+}
+
 func TestBuildNetworkSchemes(t *testing.T) {
 	tests := []struct {
 		scheme string
@@ -24,90 +40,98 @@ func TestBuildNetworkSchemes(t *testing.T) {
 		{"kclass", topology.SchemeKClasses},
 	}
 	for _, tt := range tests {
-		nw, err := BuildNetwork(tt.scheme, 16, 16, 8, 2, 8)
+		b, err := buildFromFlags(t, "-scheme", tt.scheme, "-n", "16", "-b", "8", "-g", "2", "-k", "8")
 		if err != nil {
-			t.Fatalf("BuildNetwork(%s): %v", tt.scheme, err)
+			t.Fatalf("-scheme %s: %v", tt.scheme, err)
 		}
-		if nw.Scheme() != tt.want {
-			t.Errorf("scheme %s built %v", tt.scheme, nw.Scheme())
+		if b.Network.Scheme() != tt.want {
+			t.Errorf("scheme %s built %v", tt.scheme, b.Network.Scheme())
 		}
 	}
-	if _, err := BuildNetwork("mesh", 16, 16, 8, 2, 8); !errors.Is(err, scenario.ErrInvalid) {
+	if _, err := buildFromFlags(t, "-scheme", "mesh"); !errors.Is(err, scenario.ErrInvalid) {
 		t.Errorf("unknown scheme: %v, want scenario.ErrInvalid", err)
 	}
-	if _, err := BuildNetwork("partial", 16, 16, 8, 3, 8); err == nil {
+	if _, err := buildFromFlags(t, "-scheme", "partial", "-g", "3"); err == nil {
 		t.Error("bad g should propagate a constraint error")
 	}
 }
 
 func TestBuildModel(t *testing.T) {
-	h, err := BuildModel("hier", 16)
+	h, err := buildFromFlags(t, "-workload", "hier", "-n", "16")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.N() != 16 {
-		t.Errorf("hier model N=%d", h.N())
+	if h.Model.N() != 16 {
+		t.Errorf("hier model N=%d", h.Model.N())
 	}
-	u, err := BuildModel("unif", 8)
+	u, err := buildFromFlags(t, "-workload", "unif", "-n", "8")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if u.N() != 8 {
-		t.Errorf("unif model N=%d", u.N())
+	if u.Model.N() != 8 {
+		t.Errorf("unif model N=%d", u.Model.N())
 	}
-	if _, err := BuildModel("zipf", 8); !errors.Is(err, scenario.ErrInvalid) {
+	if _, err := buildFromFlags(t, "-workload", "zipf", "-n", "8"); !errors.Is(err, scenario.ErrInvalid) {
 		t.Errorf("unknown model: %v", err)
 	}
-	if _, err := BuildModel("hier", 7); err == nil {
+	if _, err := buildFromFlags(t, "-workload", "hier", "-n", "7", "-b", "7"); err == nil {
 		t.Error("hier with odd N should error")
 	}
 }
 
 func TestBuildWorkload(t *testing.T) {
 	for _, name := range []string{"hier", "unif", "hotspot"} {
-		gen, err := BuildWorkload(name, 16, 16, 0.5)
+		b, err := buildFromFlags(t, "-workload", name, "-n", "16", "-r", "0.5")
 		if err != nil {
-			t.Fatalf("BuildWorkload(%s): %v", name, err)
+			t.Fatalf("-workload %s: %v", name, err)
+		}
+		gen, err := b.Workload()
+		if err != nil {
+			t.Fatalf("-workload %s: %v", name, err)
 		}
 		if gen.NProcessors() != 16 || gen.MModules() != 16 {
 			t.Errorf("%s dims %d×%d", name, gen.NProcessors(), gen.MModules())
 		}
 	}
-	if _, err := BuildWorkload("hier", 16, 8, 0.5); !errors.Is(err, scenario.ErrUnsatisfiable) {
+	b, err := buildFromFlags(t, "-workload", "hier", "-n", "16", "-m", "8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Workload(); !errors.Is(err, scenario.ErrUnsatisfiable) {
 		t.Errorf("hier with N≠M: %v, want scenario.ErrUnsatisfiable", err)
 	}
-	if _, err := BuildWorkload("nope", 16, 16, 0.5); !errors.Is(err, scenario.ErrInvalid) {
+	if _, err := buildFromFlags(t, "-workload", "nope"); !errors.Is(err, scenario.ErrInvalid) {
 		t.Errorf("unknown workload: %v", err)
 	}
 }
 
 func TestHierClustersFallback(t *testing.T) {
 	// N=4 falls back to 2 clusters of 2.
-	h, err := BuildModel("hier", 4)
+	b, err := buildFromFlags(t, "-workload", "hier", "-n", "4", "-b", "2")
 	if err != nil {
 		t.Fatalf("N=4 hier: %v", err)
 	}
-	if got := h.Shape()[0]; got != 2 {
+	if got := b.Model.Shape()[0]; got != 2 {
 		t.Errorf("N=4 clusters = %d, want 2", got)
 	}
 	// N=16 keeps the paper's 4 clusters.
-	h, err = BuildModel("hier", 16)
+	b, err = buildFromFlags(t, "-workload", "hier", "-n", "16")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := h.Shape()[0]; got != 4 {
+	if got := b.Model.Shape()[0]; got != 4 {
 		t.Errorf("N=16 clusters = %d, want 4", got)
 	}
 	// Odd N cannot form the workload at all.
-	if _, err := BuildModel("hier", 5); err == nil {
+	if _, err := buildFromFlags(t, "-workload", "hier", "-n", "5", "-b", "5"); err == nil {
 		t.Error("N=5 hier should error")
 	}
 	// N=10: divisible by 2 but not 4 → 2 clusters of 5.
-	h, err = BuildModel("hier", 10)
+	b, err = buildFromFlags(t, "-workload", "hier", "-n", "10")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := h.Shape()[0]; got != 2 {
+	if got := b.Model.Shape()[0]; got != 2 {
 		t.Errorf("N=10 clusters = %d, want 2", got)
 	}
 }

@@ -39,10 +39,6 @@ type Options struct {
 	Peers []string
 	// Vnodes is the ring's virtual-node count per peer (0 = DefaultVnodes).
 	Vnodes int
-	// Coordinator is accepted for compatibility and ignored: since
-	// coordinator failover, every instance partitions the sweeps it
-	// serves (the hop guard alone prevents forwarding loops).
-	Coordinator bool
 	// Local is the fallback/owned-key backend (nil = compute.Local()).
 	Local compute.Backend
 	// HTTP overrides the peer transport (nil = http.DefaultClient).

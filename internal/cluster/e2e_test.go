@@ -22,7 +22,6 @@ import (
 	"testing"
 	"time"
 
-	"multibus"
 	"multibus/internal/chaos"
 	"multibus/internal/cluster"
 	"multibus/internal/compute"
@@ -41,21 +40,27 @@ type instance struct {
 }
 
 // clusterHarness holds the optional per-instance decorations the
-// failover tests need: wrapAnalyze hooks the closed-form seam,
-// wrapLocal the whole local backend (the sweep-point path does not go
-// through AnalyzeFunc), and httpFor overrides an instance's peer
-// transport (the chaos injection seam).
+// failover tests need: wrapLocal decorates the local backend (above
+// the compute counter every instance carries), and httpFor overrides an
+// instance's peer transport (the chaos injection seam).
 type clusterHarness struct {
-	wrapAnalyze func(i int, fn compute.AnalyzeFunc) compute.AnalyzeFunc
-	wrapLocal   func(i int, b compute.Backend) compute.Backend
-	httpFor     func(i int) *http.Client
+	wrapLocal func(i int, b compute.Backend) compute.Backend
+	httpFor   func(i int) *http.Client
 }
 
-// localHook decorates one instance's local backend, running before
-// every sweep-point evaluation.
+// localHook decorates one instance's local backend: the before funcs,
+// when non-nil, run ahead of every analyze or sweep-point evaluation.
 type localHook struct {
 	compute.Backend
+	beforeAnalyze    func()
 	beforeSweepPoint func()
+}
+
+func (h *localHook) Analyze(ctx context.Context, built *scenario.Built) (*compute.Analysis, error) {
+	if h.beforeAnalyze != nil {
+		h.beforeAnalyze()
+	}
+	return h.Backend.Analyze(ctx, built)
 }
 
 func (h *localHook) SweepPoint(ctx context.Context, jb compute.PointJob) (compute.Point, error) {
@@ -68,13 +73,13 @@ func (h *localHook) SweepPoint(ctx context.Context, jb compute.PointJob) (comput
 // startCluster boots n instances on loopback listeners sharing one
 // ring. The listeners are bound before any backend is built — the URLs
 // must exist up front because every instance's -peers set names all of
-// them. wrapAnalyze, when non-nil, decorates each instance's analyze
-// seam (compute counting is always installed underneath it).
-func startCluster(t *testing.T, n, coordIdx int, wrapAnalyze func(i int, fn compute.AnalyzeFunc) compute.AnalyzeFunc) []*instance {
-	return startClusterH(t, n, coordIdx, clusterHarness{wrapAnalyze: wrapAnalyze})
+// them. wrapLocal, when non-nil, decorates each instance's local
+// backend (compute counting is always installed underneath it).
+func startCluster(t *testing.T, n int, wrapLocal func(i int, b compute.Backend) compute.Backend) []*instance {
+	return startClusterH(t, n, clusterHarness{wrapLocal: wrapLocal})
 }
 
-func startClusterH(t *testing.T, n, coordIdx int, hz clusterHarness) []*instance {
+func startClusterH(t *testing.T, n int, hz clusterHarness) []*instance {
 	t.Helper()
 	lns := make([]net.Listener, n)
 	urls := make([]string, n)
@@ -89,14 +94,10 @@ func startClusterH(t *testing.T, n, coordIdx int, hz clusterHarness) []*instance
 	insts := make([]*instance, n)
 	for i := range insts {
 		inst := &instance{url: urls[i]}
-		analyze := compute.AnalyzeFunc(func(ctx context.Context, nw *multibus.Network, model multibus.RequestModel, r float64) (*multibus.Analysis, error) {
-			inst.computes.Add(1)
-			return multibus.AnalyzeContext(ctx, nw, model, r)
-		})
-		if hz.wrapAnalyze != nil {
-			analyze = hz.wrapAnalyze(i, analyze)
+		var local compute.Backend = &localHook{
+			Backend:       compute.Local(),
+			beforeAnalyze: func() { inst.computes.Add(1) },
 		}
-		var local compute.Backend = compute.NewLocal(analyze, nil)
 		if hz.wrapLocal != nil {
 			local = hz.wrapLocal(i, local)
 		}
@@ -109,9 +110,8 @@ func startClusterH(t *testing.T, n, coordIdx int, hz clusterHarness) []*instance
 			t.Fatal(err)
 		}
 		backend, err := cluster.New(cluster.Options{
-			Coordinator: i == coordIdx,
-			Local:       local,
-			Manager:     mgr,
+			Local:   local,
+			Manager: mgr,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -243,7 +243,7 @@ func analyzeScenarioAt(t *testing.T, r float64) (string, string) {
 // (repeats are served from the owner's cache through the forward), and
 // a repeat on the first instance must be a local cache hit.
 func TestClusterForwardedAnswersByteIdenticalAndComputeOnce(t *testing.T) {
-	insts := startCluster(t, 3, -1, nil)
+	insts := startCluster(t, 3, nil)
 
 	var bodies [][]byte
 	for _, inst := range insts {
@@ -290,12 +290,11 @@ func TestClusterForwardedAnswersByteIdenticalAndComputeOnce(t *testing.T) {
 func TestClusterConcurrentIdenticalRequestsDedup(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan struct{}, 3)
-	insts := startCluster(t, 3, -1, func(i int, fn compute.AnalyzeFunc) compute.AnalyzeFunc {
-		return func(ctx context.Context, nw *multibus.Network, model multibus.RequestModel, r float64) (*multibus.Analysis, error) {
+	insts := startCluster(t, 3, func(i int, b compute.Backend) compute.Backend {
+		return &localHook{Backend: b, beforeAnalyze: func() {
 			started <- struct{}{}
 			<-release
-			return fn(ctx, nw, model, r)
-		}
+		}}
 	})
 	_, key := analyzeScenarioAt(t, 1.0)
 	owner := insts[0].backend.Ring().Owner(key)
@@ -372,7 +371,7 @@ func TestCoordinatorSweepByteIdenticalToSingleInstance(t *testing.T) {
 	sts := httptest.NewServer(standalone.Handler())
 	defer sts.Close()
 
-	insts := startCluster(t, 3, 0, nil)
+	insts := startCluster(t, 3, nil)
 
 	status, _, want := post(t, sts.URL, "/v1/sweep", clusterSweepBody)
 	if status != http.StatusOK {
@@ -414,7 +413,7 @@ func TestCoordinatorSweepJobStreamsMergedGrid(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	insts := startCluster(t, 3, 0, nil)
+	insts := startCluster(t, 3, nil)
 	status, _, jobBody := post(t, insts[0].url, "/v1/jobs", `{"sweep":`+clusterSweepBody+`}`)
 	if status != http.StatusAccepted && status != http.StatusOK {
 		t.Fatalf("job submit = %d: %s", status, jobBody)
@@ -478,7 +477,7 @@ func TestCoordinatorSweepJobStreamsMergedGrid(t *testing.T) {
 // threshold so later requests skip the dead hop, and keys owned by the
 // surviving peer keep forwarding normally.
 func TestPeerDeathDegradesOnlyItsShard(t *testing.T) {
-	insts := startCluster(t, 3, -1, nil)
+	insts := startCluster(t, 3, nil)
 	dead := insts[2]
 	dead.ts.Close()
 
@@ -562,7 +561,7 @@ func TestSweepJobSurvivesPeerDeathMidSweep(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan struct{})
 	var startOnce sync.Once
-	insts := startClusterH(t, 3, 0, clusterHarness{
+	insts := startClusterH(t, 3, clusterHarness{
 		wrapLocal: func(i int, b compute.Backend) compute.Backend {
 			if i != victimIdx {
 				return b
@@ -664,7 +663,7 @@ func TestSweepJobSurvivesPeerDeathMidSweep(t *testing.T) {
 // forwarded copy), and then serves a repeat of the previously cached
 // request as a byte-identical X-Cache hit without recomputing.
 func TestEvictedPeerRejoinsWithWarmHandoff(t *testing.T) {
-	insts := startCluster(t, 3, -1, nil)
+	insts := startCluster(t, 3, nil)
 	victim := insts[2]
 
 	// A body whose analyze key the victim owns, warmed through a
@@ -706,10 +705,10 @@ func TestEvictedPeerRejoinsWithWarmHandoff(t *testing.T) {
 	}
 	backend2, err := cluster.New(cluster.Options{
 		Manager: mgr2,
-		Local: compute.NewLocal(func(ctx context.Context, nw *multibus.Network, model multibus.RequestModel, r float64) (*multibus.Analysis, error) {
-			computes2.Add(1)
-			return multibus.AnalyzeContext(ctx, nw, model, r)
-		}, nil),
+		Local: &localHook{
+			Backend:       compute.Local(),
+			beforeAnalyze: func() { computes2.Add(1) },
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -764,7 +763,7 @@ func TestProbeChaosHysteresisKeepsRingStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	insts := startClusterH(t, 3, -1, clusterHarness{
+	insts := startClusterH(t, 3, clusterHarness{
 		httpFor: func(i int) *http.Client {
 			if i != 0 {
 				return nil

@@ -1,13 +1,13 @@
 // Package compute defines the transport-agnostic compute seam of the
 // serving stack: the Backend interface the service's gate and the sweep
-// engine call instead of invoking the multibus façade directly, the
-// wire-shaped result types every transport serializes, and the
-// forwarded-hop marker that keeps cluster routing loop-free.
+// engine evaluate every scenario through, the wire-shaped result types
+// every transport serializes, and the forwarded-hop marker that keeps
+// cluster routing loop-free.
 //
 // The package is a leaf below service, sweep, and cluster: it knows how
-// to evaluate one canonical scenario (LocalBackend) and how results look
-// on the wire, but nothing about HTTP, caches-as-policy, or peers. That
-// layering is what makes the compute path pluggable — the in-process
+// to evaluate one built scenario with the analytic and simulator
+// packages (LocalBackend) and how results look on the wire, but nothing
+// about HTTP, caches-as-policy, or peers. That layering is what makes the compute path pluggable — the in-process
 // path (LocalBackend), the consistent-hash forwarding path
 // (internal/cluster), and any future transport all satisfy one
 // interface, keyed by the same canonical scenario.Key strings, so they

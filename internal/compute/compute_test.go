@@ -28,21 +28,103 @@ var analyzeScenario = scenario.Scenario{
 	R:       1.0,
 }
 
+// facadeSimOptions spells a canonical sim block out as façade options:
+// the differential oracle for LocalBackend.Simulate, which configures
+// the engine from Built.SimConfig instead. A nil block means the
+// canonical defaults.
+func facadeSimOptions(s *scenario.Sim) []multibus.SimOption {
+	if s == nil {
+		def := scenario.DefaultSim()
+		s = &def
+	}
+	opts := []multibus.SimOption{
+		multibus.WithCycles(s.Cycles),
+		multibus.WithWarmup(s.Warmup),
+		multibus.WithBatches(s.Batches),
+		multibus.WithModuleServiceCycles(s.ServiceCycles),
+		multibus.WithSeed(s.Seed),
+	}
+	if s.Resubmit {
+		opts = append(opts, multibus.WithResubmit())
+	}
+	if s.RoundRobin {
+		opts = append(opts, multibus.WithRoundRobinMemoryArbiters())
+	}
+	return opts
+}
+
+// TestLocalAnalyzeMatchesFacade pins the in-process backend to the
+// public façade field by field: Analyze against multibus.Analyze, and
+// Simulate against multibus.SimulateContext driven by the same sim
+// block spelled out as options.
 func TestLocalAnalyzeMatchesFacade(t *testing.T) {
-	built := buildScenario(t, analyzeScenario)
-	got, err := Local().Analyze(context.Background(), built)
-	if err != nil {
-		t.Fatal(err)
+	ctx := context.Background()
+	cases := []struct {
+		name string
+		sim  *scenario.Sim // nil: the canonical default block
+	}{
+		{name: "default"},
+		{name: "resubmit", sim: &scenario.Sim{Cycles: 3000, Seed: 5, Resubmit: true}},
+		{name: "roundRobin", sim: &scenario.Sim{Cycles: 3000, Seed: 9, RoundRobin: true}},
+		{name: "serviceCycles", sim: &scenario.Sim{Cycles: 3000, Warmup: 50, Batches: 10, Seed: 3, ServiceCycles: 3}},
 	}
-	want, err := multibus.Analyze(built.Network, built.Model, built.Scenario.R)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.X != want.X || got.Bandwidth != want.Bandwidth ||
-		got.CrossbarBandwidth != want.CrossbarBandwidth ||
-		got.BusUtilization != want.BusUtilization ||
-		got.PerformanceCostRatio != want.PerformanceCostRatio {
-		t.Errorf("LocalBackend.Analyze = %+v, façade = %+v", got, want)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := analyzeScenario
+			s.Sim = tc.sim
+			built := buildScenario(t, s)
+
+			got, err := Local().Analyze(ctx, built)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := multibus.Analyze(built.Network, built.Model, built.Scenario.R)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if *got != (Analysis{
+				X:                    want.X,
+				Bandwidth:            want.Bandwidth,
+				CrossbarBandwidth:    want.CrossbarBandwidth,
+				BusUtilization:       want.BusUtilization,
+				PerformanceCostRatio: want.PerformanceCostRatio,
+			}) {
+				t.Errorf("LocalBackend.Analyze = %+v, façade = %+v", got, want)
+			}
+
+			gotSim, err := Local().Simulate(ctx, built)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gen, err := built.Workload()
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := multibus.SimulateContext(ctx, built.Network, gen, facadeSimOptions(built.Scenario.Sim)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantSim := SimResult{
+				Cycles:                res.Cycles,
+				Mode:                  res.Mode.String(),
+				Bandwidth:             res.Bandwidth,
+				BandwidthCI95:         res.BandwidthCI95,
+				AcceptanceProbability: res.AcceptanceProbability,
+				BusUtilization:        res.BusUtilization,
+				MeanWaitCycles:        res.MeanWaitCycles,
+				Offered:               res.Offered,
+				Accepted:              res.Accepted,
+				NewRequests:           res.NewRequests,
+				MemoryBlocked:         res.MemoryBlocked,
+				BusBlocked:            res.BusBlocked,
+				StrandedBlocked:       res.StrandedBlocked,
+				ModuleBusyBlocked:     res.ModuleBusyBlocked,
+				JainFairness:          res.JainFairness(),
+			}
+			if *gotSim != wantSim {
+				t.Errorf("LocalBackend.Simulate = %+v\nfaçade               = %+v", *gotSim, wantSim)
+			}
+		})
 	}
 }
 

@@ -3,76 +3,54 @@ package compute
 import (
 	"context"
 
-	"multibus"
 	"multibus/internal/analytic"
 	"multibus/internal/scenario"
 	"multibus/internal/sim"
 )
 
-// AnalyzeFunc is the closed-form computation seam. Tests count
-// invocations through it; nil means multibus.AnalyzeContext.
-type AnalyzeFunc func(ctx context.Context, nw *multibus.Network, model multibus.RequestModel, r float64) (*multibus.Analysis, error)
+// LocalBackend evaluates scenarios in-process: the closed forms through
+// internal/analytic and the protocol simulator through internal/sim,
+// both driven straight from the built scenario. It is the path every
+// single instance takes and the path every cluster instance takes for
+// the keys it owns.
+type LocalBackend struct{}
 
-// SimulateFunc is the simulation computation seam; nil means
-// multibus.SimulateContext.
-type SimulateFunc func(ctx context.Context, nw *multibus.Network, w multibus.Workload, opts ...multibus.SimOption) (*multibus.SimResult, error)
-
-// LocalBackend evaluates scenarios in-process through the multibus
-// façade — the path every request took before the backend seam existed,
-// and the path every cluster instance still takes for the keys it owns.
-type LocalBackend struct {
-	analyze  AnalyzeFunc
-	simulate SimulateFunc
-}
-
-// NewLocal builds an in-process backend. Nil funcs take the façade
-// defaults; the service passes its test seams through so overriding
-// AnalyzeFunc/SimulateFunc keeps counting compute exactly as before.
-func NewLocal(analyze AnalyzeFunc, simulate SimulateFunc) *LocalBackend {
-	if analyze == nil {
-		analyze = multibus.AnalyzeContext
-	}
-	if simulate == nil {
-		simulate = multibus.SimulateContext
-	}
-	return &LocalBackend{analyze: analyze, simulate: simulate}
-}
-
-// defaultLocal is the shared façade-backed backend for callers that
-// configured nothing (stateless, so sharing is safe).
-var defaultLocal = NewLocal(nil, nil)
-
-// Local returns the shared façade-backed in-process backend.
-func Local() *LocalBackend { return defaultLocal }
+// Local returns the in-process backend. It is stateless, so callers
+// may share one or make their own.
+func Local() *LocalBackend { return &LocalBackend{} }
 
 // Analyze implements Backend.
-func (l *LocalBackend) Analyze(ctx context.Context, built *scenario.Built) (*Analysis, error) {
+func (*LocalBackend) Analyze(ctx context.Context, built *scenario.Built) (*Analysis, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	if err := built.CanAnalyze(); err != nil {
 		return nil, err
 	}
-	a, err := l.analyze(ctx, built.Network, built.Model, built.Scenario.R)
+	x, err := built.Model.X(built.Scenario.R)
+	if err != nil {
+		return nil, err
+	}
+	s, err := analytic.Summarize(built.Network, x)
 	if err != nil {
 		return nil, err
 	}
 	return &Analysis{
-		X:                    a.X,
-		Bandwidth:            a.Bandwidth,
-		CrossbarBandwidth:    a.CrossbarBandwidth,
-		BusUtilization:       a.BusUtilization,
-		PerformanceCostRatio: a.PerformanceCostRatio,
+		X:                    x,
+		Bandwidth:            s.Bandwidth,
+		CrossbarBandwidth:    s.CrossbarBandwidth,
+		BusUtilization:       s.BusUtilization,
+		PerformanceCostRatio: s.PerformanceCostRatio,
 	}, nil
 }
 
 // Simulate implements Backend.
-func (l *LocalBackend) Simulate(ctx context.Context, built *scenario.Built) (*SimResult, error) {
-	if err := built.CanSimulate(); err != nil {
-		return nil, err
-	}
-	gen, err := built.Workload()
+func (*LocalBackend) Simulate(ctx context.Context, built *scenario.Built) (*SimResult, error) {
+	cfg, err := built.SimConfig()
 	if err != nil {
 		return nil, err
 	}
-	res, err := l.simulate(ctx, built.Network, gen, SimOptions(built.Scenario.Sim)...)
+	res, err := sim.RunContext(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -102,7 +80,7 @@ func (l *LocalBackend) Simulate(ctx context.Context, built *scenario.Built) (*Si
 // job's precomputed X and Structure are used when present — the sweep
 // enumerator's per-combination sharing — and derived on demand when a
 // bare job arrives over the wire.
-func (l *LocalBackend) SweepPoint(ctx context.Context, jb PointJob) (Point, error) {
+func (*LocalBackend) SweepPoint(ctx context.Context, jb PointJob) (Point, error) {
 	built := jb.Built
 	x := jb.X
 	if !jb.XValid {
@@ -150,28 +128,4 @@ func (l *LocalBackend) SweepPoint(ctx context.Context, jb PointJob) (Point, erro
 		pt.SimCI95 = res.BandwidthCI95
 	}
 	return pt, nil
-}
-
-// SimOptions renders a canonical sim block (every default spelled out
-// by scenario canonicalization) as façade options for the SimulateFunc
-// seam. A nil block means the canonical defaults.
-func SimOptions(s *scenario.Sim) []multibus.SimOption {
-	if s == nil {
-		def := scenario.DefaultSim()
-		s = &def
-	}
-	opts := []multibus.SimOption{
-		multibus.WithCycles(s.Cycles),
-		multibus.WithWarmup(s.Warmup),
-		multibus.WithBatches(s.Batches),
-		multibus.WithModuleServiceCycles(s.ServiceCycles),
-		multibus.WithSeed(s.Seed),
-	}
-	if s.Resubmit {
-		opts = append(opts, multibus.WithResubmit())
-	}
-	if s.RoundRobin {
-		opts = append(opts, multibus.WithRoundRobinMemoryArbiters())
-	}
-	return opts
 }

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"time"
 
-	"multibus"
 	"multibus/internal/analytic"
 	"multibus/internal/hrm"
 	"multibus/internal/jobs"
@@ -71,15 +70,12 @@ func (e *circuitOpenError) RetryAfter() time.Duration { return e.retryAfter }
 // not_found, draining, and lagged). Retryable tells clients whether
 // backing off and resending the identical request can succeed;
 // RetryAfterS mirrors the Retry-After header in whole seconds when the
-// error carries a backoff hint. LegacyCode carries the pre-v1 code
-// spelling (invalid_json, body_too_large) for one release while
-// clients migrate — see the README's deprecation note.
+// error carries a backoff hint.
 type apiError struct {
 	Code        string `json:"code"`
 	Message     string `json:"message"`
 	Retryable   bool   `json:"retryable"`
 	RetryAfterS int64  `json:"retry_after_s,omitempty"`
-	LegacyCode  string `json:"legacy_code,omitempty"`
 }
 
 type errorResponse struct {
@@ -132,9 +128,6 @@ func retryAfterSeconds(d time.Duration) int64 {
 var badInputSentinels = []error{
 	errBadRequest,
 	scenario.ErrInvalid,
-	multibus.ErrNilArgument,
-	multibus.ErrDimensionMismatch,
-	multibus.ErrInvalidOption,
 	topology.ErrBadDimensions,
 	topology.ErrBadGrouping,
 	topology.ErrDisconnected,

@@ -112,23 +112,9 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 // marked running only once admission is granted, so queue time and run
 // time separate in the status.
 func (s *Server) sweepJob(req SweepRequest) (int, jobs.RunFunc, error) {
-	templates, err := req.schemeTemplates()
+	spec, err := s.sweepSpec(req)
 	if err != nil {
 		return 0, nil, err
-	}
-	spec := sweep.Spec{
-		Ns:           req.Ns,
-		Bs:           req.Bs,
-		Rs:           req.Rs,
-		Schemes:      templates,
-		Models:       req.Models,
-		Hierarchical: req.Hierarchical,
-		WithSim:      req.WithSim,
-		SimCycles:    req.SimCycles,
-		Seed:         req.Seed,
-		Memo:         s.cache,
-		Progress:     s.metrics.sweepPoints,
-		Backend:      s.backend,
 	}
 	run := func(ctx context.Context, pub *jobs.Publisher) ([]byte, error) {
 		v, err := s.gate(ctx, "jobs", sweepWeight(spec), false,
@@ -138,7 +124,7 @@ func (s *Server) sweepJob(req SweepRequest) (int, jobs.RunFunc, error) {
 				sp.Context = ctx
 				sp.OnPlan = func(points int, _ []sweep.Skip) { pub.SetTotal(points) }
 				sp.OnPoint = func(index int, pt sweep.Point) {
-					rec, merr := json.Marshal(newSweepPointBody(pt))
+					rec, merr := json.Marshal(pt)
 					if merr != nil {
 						return // plain data struct; cannot happen
 					}
@@ -149,14 +135,7 @@ func (s *Server) sweepJob(req SweepRequest) (int, jobs.RunFunc, error) {
 		if err != nil {
 			return nil, err
 		}
-		res := v.(*sweep.Result)
-		summary := jobSweepSummary{Skipped: make([]sweepSkipBody, len(res.Skipped))}
-		for i, sk := range res.Skipped {
-			summary.Skipped[i] = sweepSkipBody{
-				Scheme: sk.Scheme, Model: sk.Model, N: sk.N, B: sk.B, Reason: sk.Reason,
-			}
-		}
-		return json.Marshal(summary)
+		return json.Marshal(jobSweepSummary{Skipped: newSweepSkips(v.(*sweep.Result).Skipped)})
 	}
 	return spec.EstimatePoints(), run, nil
 }
@@ -166,12 +145,8 @@ func (s *Server) sweepJob(req SweepRequest) (int, jobs.RunFunc, error) {
 // a batch job holds no grid-wide admission — so the job counts as
 // running from dispatch.
 func (s *Server) batchJob(req BatchRequest) (int, jobs.RunFunc, error) {
-	if len(req.Scenarios) == 0 {
-		return 0, nil, fmt.Errorf("%w: scenarios list is empty", errBadRequest)
-	}
-	if len(req.Scenarios) > maxBatchItems {
-		return 0, nil, fmt.Errorf("%w: %d scenarios exceed the %d-item batch limit",
-			errBadRequest, len(req.Scenarios), maxBatchItems)
+	if err := req.checkSize(); err != nil {
+		return 0, nil, err
 	}
 	scenarios := req.Scenarios
 	run := func(ctx context.Context, pub *jobs.Publisher) ([]byte, error) {

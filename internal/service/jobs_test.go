@@ -13,8 +13,9 @@ import (
 	"testing"
 	"time"
 
-	"multibus"
+	"multibus/internal/compute"
 	"multibus/internal/jobs"
+	"multibus/internal/scenario"
 )
 
 // newJobTestServer builds a Server plus a real HTTP listener (streaming
@@ -223,14 +224,14 @@ func TestJobCursorStableUnderConcurrentCompletion(t *testing.T) {
 	const items = 24
 	release := make(chan struct{}, items)
 	s, ts := newJobTestServer(t, Options{
-		AnalyzeFunc: func(ctx context.Context, nw *multibus.Network, model multibus.RequestModel, r float64) (*multibus.Analysis, error) {
+		Backend: analyzeHook(func(ctx context.Context, built *scenario.Built) (*compute.Analysis, error) {
 			select {
 			case <-release:
-				return &multibus.Analysis{X: r}, nil
+				return &compute.Analysis{X: built.Scenario.R}, nil
 			case <-ctx.Done():
 				return nil, ctx.Err()
 			}
-		},
+		}),
 	})
 	var sb strings.Builder
 	sb.WriteString(`{"batch":{"scenarios":[`)
@@ -315,7 +316,7 @@ func TestJobStreamDisconnectCancelsWorkers(t *testing.T) {
 	started := make(chan struct{}, 64)
 	var inflight atomic.Int64
 	s, ts := newJobTestServer(t, Options{
-		AnalyzeFunc: func(ctx context.Context, nw *multibus.Network, model multibus.RequestModel, r float64) (*multibus.Analysis, error) {
+		Backend: analyzeHook(func(ctx context.Context, built *scenario.Built) (*compute.Analysis, error) {
 			inflight.Add(1)
 			defer inflight.Add(-1)
 			select {
@@ -324,7 +325,7 @@ func TestJobStreamDisconnectCancelsWorkers(t *testing.T) {
 			}
 			<-ctx.Done()
 			return nil, ctx.Err()
-		},
+		}),
 	})
 	id, _ := submitJob(t, ts,
 		`{"batch":{"scenarios":[`+
@@ -374,14 +375,14 @@ func TestJobStreamDisconnectCancelsWorkers(t *testing.T) {
 func TestJobStreamDefaultOutlivesDisconnect(t *testing.T) {
 	release := make(chan struct{})
 	_, ts := newJobTestServer(t, Options{
-		AnalyzeFunc: func(ctx context.Context, nw *multibus.Network, model multibus.RequestModel, r float64) (*multibus.Analysis, error) {
+		Backend: analyzeHook(func(ctx context.Context, built *scenario.Built) (*compute.Analysis, error) {
 			select {
 			case <-release:
-				return &multibus.Analysis{X: r}, nil
+				return &compute.Analysis{X: built.Scenario.R}, nil
 			case <-ctx.Done():
 				return nil, ctx.Err()
 			}
-		},
+		}),
 	})
 	id, _ := submitJob(t, ts,
 		`{"batch":{"scenarios":[{"network":{"scheme":"full","n":8,"b":4},"model":{"kind":"uniform"},"r":0.5}]}}`)
@@ -408,14 +409,14 @@ func TestJobStreamDefaultOutlivesDisconnect(t *testing.T) {
 func TestJobCancelEndpoint(t *testing.T) {
 	started := make(chan struct{}, 8)
 	_, ts := newJobTestServer(t, Options{
-		AnalyzeFunc: func(ctx context.Context, nw *multibus.Network, model multibus.RequestModel, r float64) (*multibus.Analysis, error) {
+		Backend: analyzeHook(func(ctx context.Context, built *scenario.Built) (*compute.Analysis, error) {
 			select {
 			case started <- struct{}{}:
 			default:
 			}
 			<-ctx.Done()
 			return nil, ctx.Err()
-		},
+		}),
 	})
 	id, _ := submitJob(t, ts,
 		`{"batch":{"scenarios":[{"network":{"scheme":"full","n":8,"b":4},"model":{"kind":"uniform"},"r":0.5}]}}`)
@@ -510,10 +511,10 @@ func TestJobSubmitValidationAndLookup(t *testing.T) {
 func TestJobStoreFullSheds429(t *testing.T) {
 	_, ts := newJobTestServer(t, Options{
 		JobsMax: 1,
-		AnalyzeFunc: func(ctx context.Context, nw *multibus.Network, model multibus.RequestModel, r float64) (*multibus.Analysis, error) {
+		Backend: analyzeHook(func(ctx context.Context, built *scenario.Built) (*compute.Analysis, error) {
 			<-ctx.Done()
 			return nil, ctx.Err()
-		},
+		}),
 	})
 	body := `{"batch":{"scenarios":[{"network":{"scheme":"full","n":8,"b":4},"model":{"kind":"uniform"},"r":0.5}]}}`
 	submitJob(t, ts, body)

@@ -117,6 +117,19 @@ type BatchRequest struct {
 // role's implicit bound via Ns×Bs×Rs sizes).
 const maxBatchItems = 1024
 
+// checkSize rejects an empty batch or one over maxBatchItems — the one
+// size rule the synchronous handler and the batch job share.
+func (req BatchRequest) checkSize() error {
+	if len(req.Scenarios) == 0 {
+		return fmt.Errorf("%w: scenarios list is empty", errBadRequest)
+	}
+	if len(req.Scenarios) > maxBatchItems {
+		return fmt.Errorf("%w: %d scenarios exceed the %d-item batch limit",
+			errBadRequest, len(req.Scenarios), maxBatchItems)
+	}
+	return nil
+}
+
 // JobRequest is the body of POST /v1/jobs: exactly one of Sweep or
 // Batch, evaluated asynchronously with results delivered through the
 // job's results/stream endpoints instead of the response body.

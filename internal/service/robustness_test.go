@@ -14,8 +14,9 @@ import (
 	"testing"
 	"time"
 
-	"multibus"
 	"multibus/internal/chaos"
+	"multibus/internal/compute"
+	"multibus/internal/scenario"
 )
 
 func mustInjector(t *testing.T, cfg chaos.Config) *chaos.Injector {
@@ -161,7 +162,7 @@ func TestShedUnderSaturatingBurst(t *testing.T) {
 	s := newTestServer(t, Options{
 		AdmissionLimit: 1,
 		QueueDepth:     -1, // no queue: saturated means shed
-		AnalyzeFunc: func(ctx context.Context, nw *multibus.Network, model multibus.RequestModel, r float64) (*multibus.Analysis, error) {
+		Backend: analyzeHook(func(ctx context.Context, built *scenario.Built) (*compute.Analysis, error) {
 			cur := inCompute.Add(1)
 			for {
 				prev := maxInCompute.Load()
@@ -172,8 +173,8 @@ func TestShedUnderSaturatingBurst(t *testing.T) {
 			defer inCompute.Add(-1)
 			enterOnce.Do(func() { close(entered) })
 			<-release
-			return &multibus.Analysis{Bandwidth: 1}, nil
-		},
+			return &compute.Analysis{Bandwidth: 1}, nil
+		}),
 	})
 	h := s.Handler()
 
@@ -239,11 +240,11 @@ func TestQueueDelaysInsteadOfShedding(t *testing.T) {
 	s := newTestServer(t, Options{
 		AdmissionLimit: 1,
 		QueueDepth:     4,
-		AnalyzeFunc: func(ctx context.Context, nw *multibus.Network, model multibus.RequestModel, r float64) (*multibus.Analysis, error) {
+		Backend: analyzeHook(func(ctx context.Context, built *scenario.Built) (*compute.Analysis, error) {
 			enterOnce.Do(func() { close(entered) })
 			<-release
-			return &multibus.Analysis{Bandwidth: r}, nil
-		},
+			return &compute.Analysis{Bandwidth: built.Scenario.R}, nil
+		}),
 	})
 	h := s.Handler()
 
@@ -318,11 +319,11 @@ func TestHealthzDraining(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	s := newTestServer(t, Options{
-		AnalyzeFunc: func(ctx context.Context, nw *multibus.Network, model multibus.RequestModel, r float64) (*multibus.Analysis, error) {
+		Backend: analyzeHook(func(ctx context.Context, built *scenario.Built) (*compute.Analysis, error) {
 			close(entered)
 			<-release
-			return &multibus.Analysis{Bandwidth: 1}, nil
-		},
+			return &compute.Analysis{Bandwidth: 1}, nil
+		}),
 	})
 	h := s.Handler()
 

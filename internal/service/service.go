@@ -69,7 +69,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"multibus"
 	"multibus/internal/cache"
 	"multibus/internal/chaos"
 	"multibus/internal/compute"
@@ -121,17 +120,10 @@ type Options struct {
 	Timeout time.Duration
 	// MaxBodyBytes bounds request bodies.
 	MaxBodyBytes int64
-	// AnalyzeFunc overrides the analysis computation (tests count
-	// invocations through this seam). Nil means multibus.AnalyzeContext.
-	AnalyzeFunc func(ctx context.Context, nw *multibus.Network, model multibus.RequestModel, r float64) (*multibus.Analysis, error)
-	// SimulateFunc overrides the simulation computation. Nil means
-	// multibus.SimulateContext.
-	SimulateFunc func(ctx context.Context, nw *multibus.Network, w multibus.Workload, opts ...multibus.SimOption) (*multibus.SimResult, error)
 	// Backend overrides the compute backend every evaluation goes
-	// through. Nil means the in-process compute.LocalBackend built from
-	// AnalyzeFunc/SimulateFunc — the single-instance path. cmd/mbserve
-	// injects the cluster routing backend here in -peers mode; the
-	// service itself never imports internal/cluster.
+	// through. Nil means compute.Local() — the single-instance path.
+	// cmd/mbserve injects the cluster routing backend here in -peers
+	// mode; the service itself never imports internal/cluster.
 	Backend compute.Backend
 	// Logger receives one structured access-log record per instrumented
 	// request (method, route, status, bytes, duration, cache outcome).
@@ -244,14 +236,8 @@ func New(opts Options) (*Server, error) {
 	if opts.MaxBodyBytes == 0 {
 		opts.MaxBodyBytes = DefaultMaxBodyBytes
 	}
-	if opts.AnalyzeFunc == nil {
-		opts.AnalyzeFunc = multibus.AnalyzeContext
-	}
-	if opts.SimulateFunc == nil {
-		opts.SimulateFunc = multibus.SimulateContext
-	}
 	if opts.Backend == nil {
-		opts.Backend = compute.NewLocal(opts.AnalyzeFunc, opts.SimulateFunc)
+		opts.Backend = compute.Local()
 	}
 	if opts.AdmissionLimit < 0 {
 		return nil, fmt.Errorf("service: admission limit %d must be ≥ 0", opts.AdmissionLimit)
@@ -532,21 +518,18 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
 	}
 	if err != nil {
 		// Body-shape failures classify as invalid_request like every
-		// other client fault; the pre-v1 code spellings ride along in
-		// legacy_code for one release (README deprecation note).
+		// other client fault.
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeEnvelope(w, http.StatusRequestEntityTooLarge, apiError{
-				Code:       "invalid_request",
-				Message:    fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit),
-				LegacyCode: "body_too_large",
+				Code:    "invalid_request",
+				Message: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit),
 			})
 			return false
 		}
 		writeEnvelope(w, http.StatusBadRequest, apiError{
-			Code:       "invalid_request",
-			Message:    err.Error(),
-			LegacyCode: "invalid_json",
+			Code:    "invalid_request",
+			Message: err.Error(),
 		})
 		return false
 	}
@@ -774,24 +757,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	templates, err := req.schemeTemplates()
+	spec, err := s.sweepSpec(req)
 	if err != nil {
 		writeClassified(w, err)
 		return
-	}
-	spec := sweep.Spec{
-		Ns:           req.Ns,
-		Bs:           req.Bs,
-		Rs:           req.Rs,
-		Schemes:      templates,
-		Models:       req.Models,
-		Hierarchical: req.Hierarchical,
-		WithSim:      req.WithSim,
-		SimCycles:    req.SimCycles,
-		Seed:         req.Seed,
-		Memo:         s.cache,
-		Progress:     s.metrics.sweepPoints,
-		Backend:      s.backend,
 	}
 	// The whole grid goes through the gates as one weighted admission:
 	// individual points still memoize per-point in the shared cache, but
@@ -806,19 +775,31 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	res := v.(*sweep.Result)
-	body := sweepBody{
-		Points:  make([]sweepPointBody, len(res.Points)),
-		Skipped: make([]sweepSkipBody, len(res.Skipped)),
+	writeJSON(w, http.StatusOK, sweepBody{Points: res.Points, Skipped: newSweepSkips(res.Skipped)})
+}
+
+// sweepSpec resolves a sweep request into the engine spec the
+// synchronous handler and the async job both run: the request's grid
+// over the shared memo cache, progress counter, and compute backend.
+func (s *Server) sweepSpec(req SweepRequest) (sweep.Spec, error) {
+	templates, err := req.schemeTemplates()
+	if err != nil {
+		return sweep.Spec{}, err
 	}
-	for i, p := range res.Points {
-		body.Points[i] = newSweepPointBody(p)
-	}
-	for i, sk := range res.Skipped {
-		body.Skipped[i] = sweepSkipBody{
-			Scheme: sk.Scheme, Model: sk.Model, N: sk.N, B: sk.B, Reason: sk.Reason,
-		}
-	}
-	writeJSON(w, http.StatusOK, body)
+	return sweep.Spec{
+		Ns:           req.Ns,
+		Bs:           req.Bs,
+		Rs:           req.Rs,
+		Schemes:      templates,
+		Models:       req.Models,
+		Hierarchical: req.Hierarchical,
+		WithSim:      req.WithSim,
+		SimCycles:    req.SimCycles,
+		Seed:         req.Seed,
+		Memo:         s.cache,
+		Progress:     s.metrics.sweepPoints,
+		Backend:      s.backend,
+	}, nil
 }
 
 // handleBatch serves POST /v1/batch: a list of scenarios evaluated on
@@ -831,13 +812,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	if len(req.Scenarios) == 0 {
-		writeClassified(w, fmt.Errorf("%w: scenarios list is empty", errBadRequest))
-		return
-	}
-	if len(req.Scenarios) > maxBatchItems {
-		writeClassified(w, fmt.Errorf("%w: %d scenarios exceed the %d-item batch limit",
-			errBadRequest, len(req.Scenarios), maxBatchItems))
+	if err := req.checkSize(); err != nil {
+		writeClassified(w, err)
 		return
 	}
 	items := make([]batchItemBody, len(req.Scenarios))
@@ -906,14 +882,12 @@ type analysisBody = compute.Analysis
 
 type simBody = compute.SimResult
 
-type sweepPointBody = compute.Point
-
-// newSweepPointBody renders one grid point for the wire. The sync sweep
+// sweepPointBody is one grid point on the wire. The sync sweep
 // response, the async job's per-record stream, and the cluster sweep
 // endpoint all ship this one shape (sweep.Point is an alias of it),
 // which is what makes a streamed or peer-computed point byte-identical
 // to the same point in a sync /v1/sweep body.
-func newSweepPointBody(p sweep.Point) sweepPointBody { return p }
+type sweepPointBody = compute.Point
 
 type sweepSkipBody struct {
 	Scheme string `json:"scheme"`
@@ -921,6 +895,17 @@ type sweepSkipBody struct {
 	N      int    `json:"n"`
 	B      int    `json:"b"`
 	Reason string `json:"reason"`
+}
+
+// newSweepSkips renders skipped grid combinations for the wire — the
+// sync /v1/sweep body and the sweep job's summary alike. The result is
+// never nil, so an empty list encodes as [].
+func newSweepSkips(skipped []sweep.Skip) []sweepSkipBody {
+	out := make([]sweepSkipBody, len(skipped))
+	for i, sk := range skipped {
+		out[i] = sweepSkipBody{Scheme: sk.Scheme, Model: sk.Model, N: sk.N, B: sk.B, Reason: sk.Reason}
+	}
+	return out
 }
 
 type sweepBody struct {

@@ -14,9 +14,38 @@ import (
 	"testing"
 	"time"
 
-	"multibus"
 	"multibus/internal/analytic"
+	"multibus/internal/compute"
+	"multibus/internal/scenario"
 )
+
+// hookBackend decorates compute.Local(): a non-nil analyze or simulate
+// replaces that evaluation, so a test can count, block, or fail compute
+// and still reach the real backend through compute.Local().
+type hookBackend struct {
+	compute.Backend
+	analyze  func(ctx context.Context, built *scenario.Built) (*compute.Analysis, error)
+	simulate func(ctx context.Context, built *scenario.Built) (*compute.SimResult, error)
+}
+
+func (h *hookBackend) Analyze(ctx context.Context, built *scenario.Built) (*compute.Analysis, error) {
+	if h.analyze != nil {
+		return h.analyze(ctx, built)
+	}
+	return h.Backend.Analyze(ctx, built)
+}
+
+func (h *hookBackend) Simulate(ctx context.Context, built *scenario.Built) (*compute.SimResult, error) {
+	if h.simulate != nil {
+		return h.simulate(ctx, built)
+	}
+	return h.Backend.Simulate(ctx, built)
+}
+
+// analyzeHook is the local backend with Analyze replaced by fn.
+func analyzeHook(fn func(ctx context.Context, built *scenario.Built) (*compute.Analysis, error)) compute.Backend {
+	return &hookBackend{Backend: compute.Local(), analyze: fn}
+}
 
 func newTestServer(t *testing.T, opts Options) *Server {
 	t.Helper()
@@ -89,11 +118,11 @@ func TestConcurrentIdenticalAnalyzeComputesOnce(t *testing.T) {
 	var computations atomic.Int64
 	release := make(chan struct{})
 	s := newTestServer(t, Options{
-		AnalyzeFunc: func(ctx context.Context, nw *multibus.Network, model multibus.RequestModel, r float64) (*multibus.Analysis, error) {
+		Backend: analyzeHook(func(ctx context.Context, built *scenario.Built) (*compute.Analysis, error) {
 			computations.Add(1)
 			<-release // hold the flight open so every request piles on
-			return multibus.AnalyzeContext(ctx, nw, model, r)
-		},
+			return compute.Local().Analyze(ctx, built)
+		}),
 	})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -150,10 +179,10 @@ func TestConcurrentIdenticalAnalyzeComputesOnce(t *testing.T) {
 func TestSimulateCachedSecondCall(t *testing.T) {
 	var computations atomic.Int64
 	s := newTestServer(t, Options{
-		SimulateFunc: func(ctx context.Context, nw *multibus.Network, w multibus.Workload, opts ...multibus.SimOption) (*multibus.SimResult, error) {
+		Backend: &hookBackend{Backend: compute.Local(), simulate: func(ctx context.Context, built *scenario.Built) (*compute.SimResult, error) {
 			computations.Add(1)
-			return multibus.SimulateContext(ctx, nw, w, opts...)
-		},
+			return compute.Local().Simulate(ctx, built)
+		}},
 	})
 	h := s.Handler()
 	body := `{"network":{"scheme":"full","n":8,"b":4},"model":{"kind":"uniform"},"r":0.8,"sim":{"cycles":2000,"seed":7}}`
@@ -217,26 +246,24 @@ func TestValidationMapsToTyped400(t *testing.T) {
 	cases := []struct {
 		name, path, body string
 		wantCode         string
-		wantLegacy       string
 	}{
-		{"unknown scheme", "/v1/analyze", `{"network":{"scheme":"mesh","n":8,"b":4},"model":{"kind":"uniform"},"r":1}`, "invalid_request", ""},
-		{"missing scheme", "/v1/analyze", `{"network":{"n":8,"b":4},"model":{"kind":"uniform"},"r":1}`, "invalid_request", ""},
-		{"bad dimensions", "/v1/analyze", `{"network":{"scheme":"full","n":0,"b":4},"model":{"kind":"uniform"},"r":1}`, "invalid_request", ""},
-		{"bad grouping", "/v1/analyze", `{"network":{"scheme":"partial","n":8,"b":4,"groups":3},"model":{"kind":"uniform"},"r":1}`, "invalid_request", ""},
-		{"unknown model", "/v1/analyze", `{"network":{"scheme":"full","n":8,"b":4},"model":{"kind":"zipf"},"r":1}`, "invalid_request", ""},
-		{"rate out of range", "/v1/analyze", `{"network":{"scheme":"full","n":8,"b":4},"model":{"kind":"uniform"},"r":1.5}`, "invalid_request", ""},
-		{"bad hier clusters", "/v1/analyze", `{"network":{"scheme":"full","n":9,"b":4},"model":{"kind":"hier"},"r":1}`, "invalid_request", ""},
-		{"bad q", "/v1/analyze", `{"network":{"scheme":"full","n":8,"b":4},"model":{"kind":"dasbhuyan","q":1.5},"r":1}`, "invalid_request", ""},
-		{"bad sim cycles", "/v1/simulate", `{"network":{"scheme":"full","n":8,"b":4},"model":{"kind":"uniform"},"r":1,"sim":{"cycles":-5}}`, "invalid_request", ""},
-		{"bad sim batches", "/v1/simulate", `{"network":{"scheme":"full","n":8,"b":4},"model":{"kind":"uniform"},"r":1,"sim":{"batches":-1}}`, "invalid_request", ""},
-		{"sweep empty grid", "/v1/sweep", `{"ns":[],"bs":[4],"rs":[1],"schemes":["full"]}`, "invalid_request", ""},
-		{"sweep bad scheme", "/v1/sweep", `{"ns":[8],"bs":[4],"rs":[1],"schemes":["hypercube"]}`, "invalid_request", ""},
+		{"unknown scheme", "/v1/analyze", `{"network":{"scheme":"mesh","n":8,"b":4},"model":{"kind":"uniform"},"r":1}`, "invalid_request"},
+		{"missing scheme", "/v1/analyze", `{"network":{"n":8,"b":4},"model":{"kind":"uniform"},"r":1}`, "invalid_request"},
+		{"bad dimensions", "/v1/analyze", `{"network":{"scheme":"full","n":0,"b":4},"model":{"kind":"uniform"},"r":1}`, "invalid_request"},
+		{"bad grouping", "/v1/analyze", `{"network":{"scheme":"partial","n":8,"b":4,"groups":3},"model":{"kind":"uniform"},"r":1}`, "invalid_request"},
+		{"unknown model", "/v1/analyze", `{"network":{"scheme":"full","n":8,"b":4},"model":{"kind":"zipf"},"r":1}`, "invalid_request"},
+		{"rate out of range", "/v1/analyze", `{"network":{"scheme":"full","n":8,"b":4},"model":{"kind":"uniform"},"r":1.5}`, "invalid_request"},
+		{"bad hier clusters", "/v1/analyze", `{"network":{"scheme":"full","n":9,"b":4},"model":{"kind":"hier"},"r":1}`, "invalid_request"},
+		{"bad q", "/v1/analyze", `{"network":{"scheme":"full","n":8,"b":4},"model":{"kind":"dasbhuyan","q":1.5},"r":1}`, "invalid_request"},
+		{"bad sim cycles", "/v1/simulate", `{"network":{"scheme":"full","n":8,"b":4},"model":{"kind":"uniform"},"r":1,"sim":{"cycles":-5}}`, "invalid_request"},
+		{"bad sim batches", "/v1/simulate", `{"network":{"scheme":"full","n":8,"b":4},"model":{"kind":"uniform"},"r":1,"sim":{"batches":-1}}`, "invalid_request"},
+		{"sweep empty grid", "/v1/sweep", `{"ns":[],"bs":[4],"rs":[1],"schemes":["full"]}`, "invalid_request"},
+		{"sweep bad scheme", "/v1/sweep", `{"ns":[8],"bs":[4],"rs":[1],"schemes":["hypercube"]}`, "invalid_request"},
 		// Body-shape failures classify as invalid_request under the
-		// unified envelope; the pre-v1 spelling rides in legacy_code for
-		// one release.
-		{"unknown field", "/v1/analyze", `{"network":{"scheme":"full","n":8,"b":4},"model":{"kind":"uniform"},"r":1,"frobnicate":true}`, "invalid_request", "invalid_json"},
-		{"malformed json", "/v1/analyze", `{"network":`, "invalid_request", "invalid_json"},
-		{"trailing garbage", "/v1/analyze", analyzeBody + `{"again":true}`, "invalid_request", "invalid_json"},
+		// unified envelope.
+		{"unknown field", "/v1/analyze", `{"network":{"scheme":"full","n":8,"b":4},"model":{"kind":"uniform"},"r":1,"frobnicate":true}`, "invalid_request"},
+		{"malformed json", "/v1/analyze", `{"network":`, "invalid_request"},
+		{"trailing garbage", "/v1/analyze", analyzeBody + `{"again":true}`, "invalid_request"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -250,9 +277,6 @@ func TestValidationMapsToTyped400(t *testing.T) {
 			}
 			if er.Error.Code != tc.wantCode {
 				t.Errorf("error code = %q, want %q (message: %s)", er.Error.Code, tc.wantCode, er.Error.Message)
-			}
-			if er.Error.LegacyCode != tc.wantLegacy {
-				t.Errorf("legacy_code = %q, want %q", er.Error.LegacyCode, tc.wantLegacy)
 			}
 			if er.Error.Retryable {
 				t.Error("client-fault 400 marked retryable")

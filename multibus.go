@@ -219,12 +219,6 @@ var (
 	ErrInvalidOption = errors.New("multibus: invalid simulation option")
 )
 
-// ErrModelMismatch is the former name of [ErrDimensionMismatch]; the two
-// are the same value, so errors.Is matches either.
-//
-// Deprecated: use ErrDimensionMismatch.
-var ErrModelMismatch = ErrDimensionMismatch
-
 // Analyze evaluates the closed-form bandwidth of a classifiable network
 // under the given request model at request rate r. It returns
 // analytic.ErrNoClosedForm (via errors.Is) for wirings that require the
@@ -252,24 +246,16 @@ func AnalyzeContext(ctx context.Context, nw *Network, model RequestModel, r floa
 	if err != nil {
 		return nil, err
 	}
-	bw, err := analytic.Bandwidth(nw, x)
-	if err != nil {
-		return nil, err
-	}
-	xbar, err := analytic.BandwidthCrossbar(nw.M(), x)
-	if err != nil {
-		return nil, err
-	}
-	ratio, err := analytic.PerformanceCostRatio(bw, nw.NumConnections())
+	s, err := analytic.Summarize(nw, x)
 	if err != nil {
 		return nil, err
 	}
 	return &Analysis{
 		X:                    x,
-		Bandwidth:            bw,
-		CrossbarBandwidth:    xbar,
-		BusUtilization:       bw / float64(nw.B()),
-		PerformanceCostRatio: ratio,
+		Bandwidth:            s.Bandwidth,
+		CrossbarBandwidth:    s.CrossbarBandwidth,
+		BusUtilization:       s.BusUtilization,
+		PerformanceCostRatio: s.PerformanceCostRatio,
 	}, nil
 }
 

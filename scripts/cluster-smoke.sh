@@ -48,9 +48,7 @@ while [ -z "$BOOTED" ] && [ "$ATTEMPT" -lt 5 ]; do
     CPIDS=""
     i=0
     for SELF in "$P1" "$P2" "$P3"; do
-        COORD=""
-        [ "$SELF" = "$P1" ] && COORD="-coordinator"
-        "$BIN" -addr "127.0.0.1:$((BASE + i))" -self "$SELF" -peers "$PEERS" $COORD \
+        "$BIN" -addr "127.0.0.1:$((BASE + i))" -self "$SELF" -peers "$PEERS" \
             >"$WORK/peer$i.log" 2>&1 &
         CPIDS="$CPIDS $!"
         i=$((i + 1))
